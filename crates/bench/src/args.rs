@@ -37,7 +37,7 @@ pub struct RunOptions {
     pub manifest: Option<String>,
     /// The shared execution-control switches
     /// (`--snapshot/--snapshot-every/--resume/--progress/--quiet/`
-    /// `--reactivation/--queue`), parsed and validated by [`ExecFlags`]
+    /// `--reactivation`), parsed and validated by [`ExecFlags`]
     /// — one implementation for every command.
     pub exec: ExecFlags,
     /// Write the merged telemetry document (histograms + spans) as
@@ -167,7 +167,7 @@ impl RunOptions {
                          [--quick] [--trace FILE] [--metrics FILE] [--manifest FILE] \
                          [--quiet] [--snapshot FILE] [--snapshot-every N] [--resume FILE] \
                          [--progress FILE] [--histograms FILE] [--prom FILE] \
-                         [--reactivation resample|lazy] [--queue heap|calendar]"
+                         [--reactivation resample|lazy]"
                             .to_string(),
                     ))
                 }
@@ -360,17 +360,16 @@ mod tests {
 
     #[test]
     fn execution_mode_flags_parse() {
-        use ckpt_core::{QueueKind, ReactivationMode};
-        let o = parse(&["--reactivation", "lazy", "--queue", "calendar"]).unwrap();
+        use ckpt_core::ReactivationMode;
+        let o = parse(&["--reactivation", "lazy"]).unwrap();
         assert_eq!(o.exec.reactivation, ReactivationMode::Lazy);
-        assert_eq!(o.exec.queue, QueueKind::Calendar);
         let d = parse(&[]).unwrap();
         assert_eq!(d.exec.reactivation, ReactivationMode::Resample);
-        assert_eq!(d.exec.queue, QueueKind::IndexedHeap);
         assert!(parse(&["--reactivation", "eager"]).is_err());
-        assert!(parse(&["--queue", "wheel"]).is_err());
         assert!(parse(&["--reactivation"]).is_err());
-        assert!(parse(&["--queue"]).is_err());
+        // The removed queue-backend switch is an unknown flag now.
+        let err = parse(&["--queue", "calendar"]).unwrap_err();
+        assert!(err.0.contains("--queue"), "{}", err.0);
     }
 
     #[test]

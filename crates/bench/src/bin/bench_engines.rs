@@ -22,10 +22,9 @@
 //! `BENCH_phases.json` (requires a build with `--features prof`; a
 //! profiled build inflates wall time, so use `--phases` for *where the
 //! time goes* and a plain build for the headline events/sec).
-//! `--reactivation` and `--queue` select the execution modes under
-//! test; the bit-identity assertion between the two schedulers holds
-//! in every mode (lazy elides the same redraws on both paths, and the
-//! calendar queue pops the heap's exact order).
+//! `--reactivation` selects the execution mode under test; the
+//! bit-identity assertion between the two schedulers holds in every
+//! mode (lazy elides the same redraws on both paths).
 
 use ckpt_bench::RunOptions;
 use ckpt_core::san_model::{CheckpointSan, RunOptions as SanRunOptions};
@@ -56,8 +55,6 @@ fn run_engine(
         horizon: opts.horizon,
         scheduling,
         reactivation: opts.exec.reactivation,
-        queue: opts.exec.queue,
-        ..SanRunOptions::default()
     };
     // Warm-up: same workload, results discarded, nothing timed yet.
     for w in 0..u64::from(opts.warmup) {
@@ -214,7 +211,6 @@ fn main() {
          \"host_parallelism\": {host},\n  \
          \"telemetry_probes\": {},\n  \
          \"reactivation\": \"{}\",\n  \
-         \"queue\": \"{}\",\n  \
          \"runs\": [{runs}\n  ],\n  \
          \"speedup_incremental_vs_full_scan\": {speedup:.2},{baseline}\n  \
          \"identical_results\": {identical},\n  \
@@ -227,7 +223,6 @@ fn main() {
         opts.seed,
         ckpt_des::telem::ENABLED,
         opts.exec.reactivation.name(),
-        opts.exec.queue.name(),
     );
     std::fs::write("BENCH_engines.json", &json).expect("write BENCH_engines.json");
     println!("{json}");

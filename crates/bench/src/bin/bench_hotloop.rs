@@ -2,35 +2,22 @@
 //! events/sec for the profile-guided kernel optimizations on the
 //! Figure 4 reference point (65536 processors, Table 3 defaults).
 //!
-//! Baseline legs, all on the incremental scheduler's workload:
+//! Legs, all on the same workload:
 //!
 //! 1. `incremental_inverse_cdf` — the default configuration (eager
-//!    `Resample` reactivation, indexed binary heap). Bit-identical to
-//!    the pre-optimization RNG stream by construction.
+//!    `Resample` reactivation). Bit-identical to the pre-optimization
+//!    RNG stream by construction.
 //! 2. `full_scan_inverse_cdf` — the O(A) reference scheduler on the
 //!    same stream; its metrics are asserted bit-identical to leg 1
 //!    (the benchmark doubles as an equivalence check).
-//! 3. `incremental_ziggurat` — leg 1 with the ziggurat exponential
-//!    sampler. Distribution-equivalent, not stream-identical; validated
-//!    separately by the KS/moment tests in `ckpt-stats` and the
-//!    figure-level CI-overlap test in `ckpt-core`.
+//! 3. `lazy_heap` — lazy reactivation (memoryless exponential timers
+//!    survive marking changes without a redraw); distribution-
+//!    equivalent to the oracle with a shorter RNG stream.
 //!
-//! Then the execution-mode matrix (reactivation × queue backend):
-//!
-//! * `resample_calendar` — the oracle sampling mode on the calendar
-//!   queue; metrics asserted **bit-identical** to leg 1 (the calendar
-//!   pops the heap's exact (time, FIFO) order).
-//! * `lazy_heap` / `lazy_calendar` — lazy reactivation (memoryless
-//!   exponential timers survive marking changes without a redraw);
-//!   distribution-equivalent to the oracle with a shorter RNG stream,
-//!   and asserted bit-identical *across queue backends*.
-//! * `lazy_ziggurat_calendar` — the headline: every opt-in fast path
-//!   at once, targeting <100 ns/event on this workload.
-//!
-//! The `gate_*_quick` legs run the `--quick` workload once per mode
-//! combination; `scripts/bench_gate.sh` compares fresh `--quick`
-//! measurements against the committed values and fails CI on a >15 %
-//! events/sec regression in any mode.
+//! The `gate_*_quick` legs run the `--quick` workload once per mode;
+//! `scripts/bench_gate.sh` compares fresh `--quick` measurements
+//! against the committed values and fails CI on a >15 % events/sec
+//! regression in any mode.
 //!
 //! Extra flags on top of `ckpt_bench::args`:
 //!
@@ -47,8 +34,8 @@
 
 use ckpt_bench::RunOptions;
 use ckpt_core::san_model::{CheckpointSan, RunOptions as SanRunOptions};
-use ckpt_core::{Metrics, QueueKind, ReactivationMode, SystemConfig};
-use ckpt_des::{Sampling, SimTime};
+use ckpt_core::{Metrics, ReactivationMode, SystemConfig};
+use ckpt_des::SimTime;
 use ckpt_san::Scheduling;
 use std::time::Instant;
 
@@ -59,18 +46,14 @@ const DEFAULT_PR4_BASELINE_EPS: f64 = 3_965_698.0;
 #[derive(Clone, Copy)]
 struct Mode {
     scheduling: Scheduling,
-    sampling: Sampling,
     reactivation: ReactivationMode,
-    queue: QueueKind,
 }
 
 impl Mode {
     fn default_path() -> Mode {
         Mode {
             scheduling: Scheduling::Incremental,
-            sampling: Sampling::InverseCdf,
             reactivation: ReactivationMode::Resample,
-            queue: QueueKind::IndexedHeap,
         }
     }
 }
@@ -100,9 +83,7 @@ fn run_leg(model: &CheckpointSan, opts: &RunOptions, mode: Mode, name: &'static 
         transient: opts.transient,
         horizon: opts.horizon,
         scheduling: mode.scheduling,
-        sampling: mode.sampling,
         reactivation: mode.reactivation,
-        queue: mode.queue,
     };
     for w in 0..u64::from(opts.warmup) {
         model
@@ -141,13 +122,12 @@ fn leg_json(leg: &Leg) -> String {
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "\n    {{\"leg\": \"{}\", \"reactivation\": \"{}\", \"queue\": \"{}\", \
+        "\n    {{\"leg\": \"{}\", \"reactivation\": \"{}\", \
          \"wall_secs\": {:.3}, \"events\": {}, \
          \"events_per_sec\": {:.0}, \"ns_per_event\": {:.1}, \
          \"rep_events_per_sec\": [{reps}]}}",
         leg.name,
         leg.mode.reactivation.name(),
-        leg.mode.queue.name(),
         leg.wall_secs,
         leg.events,
         leg.events_per_sec(),
@@ -157,12 +137,11 @@ fn leg_json(leg: &Leg) -> String {
 
 fn gate_json(leg: &Leg) -> String {
     format!(
-        "\n    {{\"leg\": \"{}\", \"reactivation\": \"{}\", \"queue\": \"{}\", \
+        "\n    {{\"leg\": \"{}\", \"reactivation\": \"{}\", \
          \"events_per_sec\": {:.0}, \"ns_per_event\": {:.1}, \
          \"max_regression_pct\": 15}}",
         leg.name,
         leg.mode.reactivation.name(),
-        leg.mode.queue.name(),
         leg.events_per_sec(),
         leg.ns_per_event(),
     )
@@ -207,36 +186,9 @@ fn main() {
         },
         "full_scan_inverse_cdf",
     );
-    let zig = run_leg(
-        &model,
-        &opts,
-        Mode {
-            sampling: Sampling::Ziggurat,
-            ..base
-        },
-        "incremental_ziggurat",
-    );
     assert_eq!(
         inv.metrics, full.metrics,
         "schedulers diverged on the inverse-CDF stream — bit-identity broken"
-    );
-
-    // The execution-mode matrix. `resample_calendar` runs the pinned
-    // oracle sampling mode on the calendar backend and must reproduce
-    // the heap's metrics bit for bit; the two lazy legs must agree
-    // with each other for the same reason.
-    let res_cal = run_leg(
-        &model,
-        &opts,
-        Mode {
-            queue: QueueKind::Calendar,
-            ..base
-        },
-        "resample_calendar",
-    );
-    assert_eq!(
-        inv.metrics, res_cal.metrics,
-        "calendar queue diverged from the heap on the oracle mode — bit-identity broken"
     );
     let lazy_heap = run_leg(
         &model,
@@ -246,31 +198,6 @@ fn main() {
             ..base
         },
         "lazy_heap",
-    );
-    let lazy_cal = run_leg(
-        &model,
-        &opts,
-        Mode {
-            reactivation: ReactivationMode::Lazy,
-            queue: QueueKind::Calendar,
-            ..base
-        },
-        "lazy_calendar",
-    );
-    assert_eq!(
-        lazy_heap.metrics, lazy_cal.metrics,
-        "calendar queue diverged from the heap under lazy reactivation — bit-identity broken"
-    );
-    let headline = run_leg(
-        &model,
-        &opts,
-        Mode {
-            sampling: Sampling::Ziggurat,
-            reactivation: ReactivationMode::Lazy,
-            queue: QueueKind::Calendar,
-            ..base
-        },
-        "lazy_ziggurat_calendar",
     );
 
     // Gate references: the fast smoke workload bench_gate.sh re-measures
@@ -283,40 +210,17 @@ fn main() {
         ..opts.clone()
     };
     let gate = run_leg(&model, &quick_opts, base, "gate_reference_quick");
-    let gate_modes = [
-        run_leg(
-            &model,
-            &quick_opts,
-            Mode {
-                queue: QueueKind::Calendar,
-                ..base
-            },
-            "gate_resample_calendar_quick",
-        ),
-        run_leg(
-            &model,
-            &quick_opts,
-            Mode {
-                reactivation: ReactivationMode::Lazy,
-                ..base
-            },
-            "gate_lazy_heap_quick",
-        ),
-        run_leg(
-            &model,
-            &quick_opts,
-            Mode {
-                reactivation: ReactivationMode::Lazy,
-                queue: QueueKind::Calendar,
-                ..base
-            },
-            "gate_lazy_calendar_quick",
-        ),
-    ];
+    let gate_modes = [run_leg(
+        &model,
+        &quick_opts,
+        Mode {
+            reactivation: ReactivationMode::Lazy,
+            ..base
+        },
+        "gate_lazy_heap_quick",
+    )];
 
-    let mut all: Vec<&Leg> = vec![
-        &inv, &full, &zig, &res_cal, &lazy_heap, &lazy_cal, &headline, &gate,
-    ];
+    let mut all: Vec<&Leg> = vec![&inv, &full, &lazy_heap, &gate];
     all.extend(gate_modes.iter());
     for leg in &all {
         eprintln!(
@@ -328,13 +232,11 @@ fn main() {
         );
     }
 
-    let legs = [
-        &inv, &full, &zig, &res_cal, &lazy_heap, &lazy_cal, &headline,
-    ]
-    .into_iter()
-    .map(leg_json)
-    .collect::<Vec<_>>()
-    .join(",");
+    let legs = [&inv, &full, &lazy_heap]
+        .into_iter()
+        .map(leg_json)
+        .collect::<Vec<_>>()
+        .join(",");
     let gates = gate_modes
         .iter()
         .map(gate_json)
@@ -354,21 +256,14 @@ fn main() {
          \"pr4_baseline_source\": \"previous PR's BENCH_engines.json, incremental \
          scheduler, same workload and host class\",\n  \
          \"speedup_inverse_cdf_vs_pr4\": {:.2},\n  \
-         \"speedup_ziggurat_vs_pr4\": {:.2},\n  \
-         \"speedup_ziggurat_vs_inverse_cdf\": {:.2},\n  \
-         \"speedup_lazy_calendar_vs_default\": {:.2},\n  \
-         \"speedup_headline_vs_default\": {:.2},\n  \
-         \"headline_ns_per_event\": {:.1},\n  \
          \"identical_metrics_inverse_cdf\": true,\n  \
-         \"identical_metrics_calendar_vs_heap\": true,\n  \
          \"gate\": {{\"leg\": \"gate_reference_quick\", \
          \"events_per_sec\": {:.0}, \"ns_per_event\": {:.1}, \
          \"max_regression_pct\": 15}},\n  \
          \"gate_modes\": [{gates}\n  ],\n  \
          \"note\": \"InverseCdf preserves the exact pre-optimization RNG stream \
-         (metrics bit-identical across schedulers and queue backends, asserted); \
-         Ziggurat and lazy reactivation are distribution-equivalent, validated by \
-         KS/moment and CI-overlap tests\",\n  \
+         (metrics bit-identical across schedulers, asserted); lazy reactivation is \
+         distribution-equivalent, validated by KS/moment and CI-overlap tests\",\n  \
          \"phases_file\": \"BENCH_phases.json\"\n}}\n",
         opts.reps,
         opts.transient.as_hours(),
@@ -376,11 +271,6 @@ fn main() {
         opts.seed,
         opts.warmup,
         inv.events_per_sec() / pr4_baseline_eps.max(1e-9),
-        zig.events_per_sec() / pr4_baseline_eps.max(1e-9),
-        zig.events_per_sec() / inv.events_per_sec().max(1e-9),
-        lazy_cal.events_per_sec() / inv.events_per_sec().max(1e-9),
-        headline.events_per_sec() / inv.events_per_sec().max(1e-9),
-        headline.ns_per_event(),
         gate.events_per_sec(),
         gate.ns_per_event(),
     );

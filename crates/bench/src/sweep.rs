@@ -121,7 +121,6 @@ pub fn experiment_spec(
         .seed(opts.seed)
         .jobs(opts.jobs)
         .reactivation(opts.exec.reactivation)
-        .queue(opts.exec.queue)
         .build()
         .map_err(CkptError::from)
 }
@@ -137,7 +136,6 @@ fn cell_spec(cell: &Cell, opts: &RunOptions, jobs: usize) -> Result<ExperimentSp
         .seed(opts.seed)
         .jobs(jobs)
         .reactivation(opts.exec.reactivation)
-        .queue(opts.exec.queue)
         .build()
         .map_err(CkptError::from)
 }

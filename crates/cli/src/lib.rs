@@ -101,9 +101,6 @@ RUN FLAGS:
     --reactivation MODE      resample | lazy                [resample]
                              lazy skips redraws of memoryless exponential
                              timers (--engine san only; new RNG stream)
-    --queue KIND             heap | calendar                [heap]
-                             event-queue backend; both pop identical
-                             (time, FIFO) order, so results never change
 
 SERVE FLAGS:
     --addr A                 listen address                 [127.0.0.1:7070]
@@ -468,6 +465,8 @@ mod tests {
             ])),
             2
         );
+        // The queue-backend switch was removed: it is an unknown flag.
+        assert_eq!(run(argv(&["run", "--quick", "--queue", "calendar"])), 2);
     }
 
     #[test]

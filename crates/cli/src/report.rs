@@ -173,12 +173,7 @@ fn summarize_telemetry(doc: &JsonValue) -> Vec<(String, JsonValue)> {
             JsonValue::from_u64(det.and_then(|d| get_u64(d, "redraws_elided")).unwrap_or(0)),
         ),
     ];
-    for name in [
-        "failure_gap_secs",
-        "queue_depth",
-        "dirty_set",
-        "band_occupancy",
-    ] {
+    for name in ["failure_gap_secs", "queue_depth", "dirty_set"] {
         if let Some(h) = hists.and_then(|hs| hs.get(name)) {
             fields.extend(histogram_fields(name, h));
         }
@@ -593,6 +588,26 @@ mod tests {
         assert_eq!(get_str(&s, "kind"), Some("telemetry"));
         assert_eq!(get_u64(&s, "events"), Some(5));
         assert_eq!(get_u64(&s, "failure_gap_secs_p90"), Some(7));
+
+        // Documents written while the calendar queue existed carry a
+        // `band_occupancy` histogram; they still summarize, and the
+        // retired key is ignored.
+        let old = parse(
+            r#"{"telemetry_schema_version": 1, "kind": "telemetry", "label": "old",
+                "probes_enabled": true,
+                "deterministic": {"events": 5, "rng_draws": 9, "redraws_elided": 0, "histograms":
+                  {"failure_gap_secs": {"count":2,"sum":10,"min":3,"max":7,"p50":3,"p90":7,"p99":7,"buckets":[[3,1],[7,1]]},
+                   "queue_depth": {"count":1,"sum":4,"min":4,"max":4,"p50":4,"p90":4,"p99":4,"buckets":[[4,1]]},
+                   "dirty_set": {"count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0,"buckets":[]},
+                   "band_occupancy": {"count":1,"sum":2,"min":2,"max":2,"p50":2,"p90":2,"p99":2,"buckets":[[2,1]]}}},
+                "provenance": {"spans": []}}"#,
+        )
+        .unwrap();
+        let s = summarize("old.json", &old).unwrap();
+        assert_eq!(get_u64(&s, "rng_draws"), Some(9));
+        assert_eq!(get_u64(&s, "queue_depth_p90"), Some(4));
+        assert!(s.get("band_occupancy_p90").is_none());
+        assert!(report_human(&[("old.json".to_string(), s)]).is_ok());
 
         let snap = parse(
             r#"{"schema_version": 1, "tool": "ckptsim", "kind": "run_snapshot",

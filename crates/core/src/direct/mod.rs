@@ -31,7 +31,7 @@ use crate::metrics::{Counters, Metrics, PhaseKind, PhaseTimes};
 use crate::policy::CheckpointPolicy;
 use crate::trace::{AbortReason, TraceBuffer, TraceEvent};
 use ckpt_des::telem::{HotTelemetry, TelemetrySnapshot};
-use ckpt_des::{EventId, EventQueue, QueueKind, RngFactory, SimRng, SimTime, StreamId};
+use ckpt_des::{EventId, EventQueue, RngFactory, SimRng, SimTime, StreamId};
 use ckpt_obs::{ObsEvent, Observer};
 use ckpt_stats::dist::sample_max_exponential;
 use events::{AppPhase, Event, IoState, RecoveryStage, SysPhase};
@@ -130,18 +130,10 @@ impl<'c> DirectSimulator<'c> {
     /// first checkpoint one interval away.
     #[must_use]
     pub fn new(cfg: &'c SystemConfig, seed: u64) -> DirectSimulator<'c> {
-        DirectSimulator::with_queue(cfg, seed, QueueKind::default())
-    }
-
-    /// Like [`DirectSimulator::new`], with an explicit event-queue
-    /// backend. Both backends pop the same `(time, FIFO)` order, so the
-    /// choice never changes results — only dispatch cost.
-    #[must_use]
-    pub fn with_queue(cfg: &'c SystemConfig, seed: u64, queue: QueueKind) -> DirectSimulator<'c> {
         let f = RngFactory::new(seed);
         let mut sim = DirectSimulator {
             cfg,
-            queue: EventQueue::with_kind(queue),
+            queue: EventQueue::new(),
             pending: Pending::default(),
             now: SimTime::ZERO,
             phase: SysPhase::Executing,

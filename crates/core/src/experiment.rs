@@ -20,7 +20,7 @@ use crate::direct::DirectSimulator;
 use crate::metrics::Metrics;
 use crate::san_model::{CheckpointSan, ModelError, RunOptions as SanRunOptions};
 use ckpt_des::prof::PhaseProfile;
-use ckpt_des::{QueueKind, SimTime};
+use ckpt_des::SimTime;
 use ckpt_obs::{
     MetricsRegistry, ModelEvent, ObsEvent, Observer, ProgressSink, ProgressSnapshot, Recorder,
     ReplicationTelemetry, RunManifest, RunProfile, SpanKind, SpanRecord,
@@ -649,7 +649,6 @@ pub struct Experiment {
     warmup: u32,
     observe: Option<ObserveSpec>,
     reactivation: ReactivationMode,
-    queue: QueueKind,
 }
 
 impl Experiment {
@@ -671,7 +670,6 @@ impl Experiment {
             warmup: 0,
             observe: None,
             reactivation: ReactivationMode::default(),
-            queue: QueueKind::default(),
         }
     }
 
@@ -691,15 +689,6 @@ impl Experiment {
     #[must_use]
     pub fn reactivation(mut self, mode: ReactivationMode) -> Experiment {
         self.reactivation = mode;
-        self
-    }
-
-    /// Selects the event-queue backend for both engines. The choice is
-    /// bit-identical — both backends pop the same `(time, FIFO)` order
-    /// — so it changes dispatch cost only.
-    #[must_use]
-    pub fn queue(mut self, queue: QueueKind) -> Experiment {
-        self.queue = queue;
         self
     }
 
@@ -875,7 +864,7 @@ impl Experiment {
         let elided_before = ckpt_des::telem::redraws_elided();
         let (metrics, events, phases, engine_telem) = match san_model {
             None => {
-                let mut sim = DirectSimulator::with_queue(&self.config, seed, self.queue);
+                let mut sim = DirectSimulator::new(&self.config, seed);
                 sim.run(self.transient);
                 sim.reset_metrics();
                 if let Some(rec) = recorder.as_mut() {
@@ -898,7 +887,6 @@ impl Experiment {
                     transient: self.transient,
                     horizon: self.horizon,
                     reactivation: self.reactivation,
-                    queue: self.queue,
                     ..SanRunOptions::default()
                 };
                 match recorder.as_mut() {

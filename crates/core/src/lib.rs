@@ -60,7 +60,6 @@ pub use experiment::{
 pub use metrics::{Counters, Metrics, PhaseKind};
 pub use policy::{CheckpointPolicy, PolicySpec};
 
-// Execution-mode switches travel with the experiment API so callers
-// need no direct `ckpt-des` / `ckpt-san` dependency.
-pub use ckpt_des::QueueKind;
+// The execution-mode switch travels with the experiment API so callers
+// need no direct `ckpt-san` dependency.
 pub use ckpt_san::ReactivationMode;

@@ -5,10 +5,8 @@
 //!
 //! * [`SimTime`] — a strongly typed simulation clock value (seconds,
 //!   `f64`), with total ordering that rejects NaN at construction.
-//! * [`EventQueue`] — a cancellable priority queue of scheduled events,
-//!   backed by either an indexed binary heap (the default) or a
-//!   calendar queue, selected per simulation via [`QueueKind`]. Both
-//!   backends pop the identical `(time, FIFO)` event order.
+//! * [`EventQueue`] — a cancellable priority queue of scheduled events
+//!   (an indexed binary heap) popping in `(time, FIFO)` order.
 //! * [`RngFactory`] / [`SimRng`] — deterministic, splittable random-number
 //!   streams so that every stochastic component of a model draws from its
 //!   own substream and simulations are exactly reproducible from a single
@@ -49,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod calendar;
 mod engine;
 mod event;
 pub mod hist;
@@ -62,6 +59,6 @@ mod time;
 pub use engine::{Engine, EventHandler, RunOutcome};
 pub use event::{EventId, ScheduledEvent};
 pub use hist::LogHistogram;
-pub use queue::{EventQueue, QueueKind};
-pub use rng::{RngFactory, Sampling, SimRng, StreamId};
+pub use queue::EventQueue;
+pub use rng::{RngFactory, SimRng, StreamId};
 pub use time::{SimTime, TimeError};

@@ -111,69 +111,8 @@ impl RngFactory {
     }
 }
 
-/// Selects the exponential sampling kernel used by
-/// [`SimRng::exponential`].
-///
-/// Every exponential draw in the workspace — plain [`exponential`]
-/// calls, Erlang/hyper-exponential mixtures, and marking-dependent
-/// delay closures — funnels through [`SimRng::exponential`], so this
-/// one switch selects the kernel for an entire simulation.
-///
-/// [`exponential`]: SimRng::exponential
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Sampling {
-    /// Inverse-CDF transform `-ln(U) / rate`: one uniform, one `ln`.
-    ///
-    /// This is the default and the *bit-identity oracle*: its draw
-    /// sequence is pinned by tests and must never change, so results
-    /// stay reproducible across releases.
-    #[default]
-    InverseCdf,
-    /// 256-strip ziggurat rejection sampler (Marsaglia–Tsang).
-    ///
-    /// ~98.9% of draws are a table lookup and one multiply, no
-    /// transcendental. Distribution-equivalent to [`InverseCdf`]
-    /// (same exponential law, held to the same KS/moment contract in
-    /// `ckpt-stats`) but draws a *different* stream: selecting it
-    /// changes trajectories, never statistics.
-    ///
-    /// [`InverseCdf`]: Sampling::InverseCdf
-    Ziggurat,
-}
-
 /// Number of raw 64-bit words buffered per refill of a [`SimRng`].
 const RNG_BLOCK: usize = 8;
-
-/// Tail cutoff of the 256-strip exponential ziggurat.
-const ZIG_R: f64 = 7.697_117_470_131_487;
-/// Common area of each ziggurat strip (and of the base strip + tail).
-const ZIG_V: f64 = 3.949_659_822_581_572e-3;
-/// Number of ziggurat strips.
-const ZIG_N: usize = 256;
-
-/// Lazily built ziggurat tables: strip edges `x[i]` (descending,
-/// `x[1] = R`, `x[N] = 0`, `x[0]` the extended base strip) and their
-/// densities `f[i] = exp(-x[i])`.
-fn zig_tables() -> &'static ([f64; ZIG_N + 1], [f64; ZIG_N + 1]) {
-    use std::sync::OnceLock;
-    static TABLES: OnceLock<([f64; ZIG_N + 1], [f64; ZIG_N + 1])> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut x = [0.0f64; ZIG_N + 1];
-        x[0] = ZIG_V / (-ZIG_R).exp();
-        x[1] = ZIG_R;
-        for i in 2..ZIG_N {
-            // Each strip has area V: f(x_i) = f(x_{i-1}) + V / x_{i-1}.
-            let prev = x[i - 1];
-            x[i] = -(ZIG_V / prev + (-prev).exp()).ln();
-        }
-        x[ZIG_N] = 0.0;
-        let mut f = [0.0f64; ZIG_N + 1];
-        for (fi, xi) in f.iter_mut().zip(x.iter()) {
-            *fi = (-xi).exp();
-        }
-        (x, f)
-    })
-}
 
 /// A deterministic random-number generator for one model component.
 ///
@@ -189,7 +128,6 @@ pub struct SimRng {
     /// Buffered raw words; `buf[pos..]` are not yet consumed.
     buf: [u64; RNG_BLOCK],
     pos: usize,
-    sampling: Sampling,
 }
 
 impl SimRng {
@@ -198,7 +136,6 @@ impl SimRng {
             inner,
             buf: [0; RNG_BLOCK],
             pos: RNG_BLOCK,
-            sampling: Sampling::default(),
         }
     }
 
@@ -207,20 +144,6 @@ impl SimRng {
     #[must_use]
     pub fn seed_from_u64(seed: u64) -> SimRng {
         SimRng::from_inner(SmallRng::seed_from_u64(seed))
-    }
-
-    /// The exponential sampling kernel currently selected.
-    #[must_use]
-    pub fn sampling(&self) -> Sampling {
-        self.sampling
-    }
-
-    /// Selects the exponential sampling kernel. The default,
-    /// [`Sampling::InverseCdf`], is the bit-identity oracle;
-    /// [`Sampling::Ziggurat`] is faster but draws a different (equally
-    /// distributed) stream.
-    pub fn set_sampling(&mut self, sampling: Sampling) {
-        self.sampling = sampling;
     }
 
     /// Next buffered raw word, refilling the block when exhausted.
@@ -259,8 +182,14 @@ impl SimRng {
         }
     }
 
-    /// Exponential sample with the given rate (mean `1/rate`), using
-    /// the kernel selected by [`SimRng::set_sampling`].
+    /// Exponential sample with the given rate (mean `1/rate`) by the
+    /// inverse-CDF transform `-ln(U) / rate`: one uniform, one `ln`.
+    ///
+    /// Every exponential draw in the workspace — plain calls,
+    /// Erlang/hyper-exponential mixtures and marking-dependent delay
+    /// closures — funnels through here. The draw sequence is pinned by
+    /// tests and must never change, so results stay reproducible
+    /// across releases.
     ///
     /// # Panics
     ///
@@ -270,42 +199,7 @@ impl SimRng {
             rate > 0.0 && rate.is_finite(),
             "exponential rate must be positive and finite, got {rate}"
         );
-        match self.sampling {
-            Sampling::InverseCdf => -self.open_unit().ln() / rate,
-            Sampling::Ziggurat => self.exp1_ziggurat() / rate,
-        }
-    }
-
-    /// Unit-rate exponential via the 256-strip ziggurat.
-    ///
-    /// One raw word supplies both the strip index (low 8 bits) and the
-    /// horizontal coordinate (top 52 bits); most draws accept on the
-    /// in-rectangle test without evaluating any transcendental.
-    fn exp1_ziggurat(&mut self) -> f64 {
-        let (x_tab, f_tab) = zig_tables();
-        loop {
-            let bits = self.next_raw();
-            let i = (bits & 0xff) as usize;
-            let u = (bits >> 12) as f64 * (1.0 / (1u64 << 52) as f64);
-            let x = u * x_tab[i];
-            if x < x_tab[i + 1] {
-                // Strictly inside strip i+1's rectangle: accept.
-                // Guard x > 0 so callers can take logs, matching the
-                // open-interval contract of the inverse-CDF path.
-                if x > 0.0 {
-                    return x;
-                }
-                continue;
-            }
-            if i == 0 {
-                // Tail beyond R: exact conditional tail of Exp(1).
-                return ZIG_R - self.open_unit().ln();
-            }
-            // Wedge between the rectangle and the density.
-            if f_tab[i + 1] + (f_tab[i] - f_tab[i + 1]) * self.unit_f64() < (-x).exp() && x > 0.0 {
-                return x;
-            }
-        }
+        -self.open_unit().ln() / rate
     }
 
     /// Bernoulli trial with success probability `p` (clamped to [0, 1]).
@@ -454,7 +348,7 @@ mod tests {
     /// Pinned oracle stream: these exact values were produced by the
     /// pre-buffering implementation (one `next_u64` per draw, straight
     /// from `SmallRng`). The block refill must never change them —
-    /// this is the bit-identity contract of `Sampling::InverseCdf`.
+    /// this is the bit-identity contract of `SimRng::exponential`.
     #[test]
     fn inverse_cdf_stream_is_pinned() {
         let mut r = SimRng::seed_from_u64(42);
@@ -471,68 +365,6 @@ mod tests {
         r.fill_bytes(&mut b);
         assert_eq!(b, [152, 155, 53, 84, 112, 231, 20, 174, 189, 13, 89]);
         assert_eq!(r.open_unit(), 0.40307330082561377);
-    }
-
-    #[test]
-    fn sampling_default_is_inverse_cdf() {
-        assert_eq!(Sampling::default(), Sampling::InverseCdf);
-        assert_eq!(SimRng::seed_from_u64(1).sampling(), Sampling::InverseCdf);
-    }
-
-    #[test]
-    fn ziggurat_tables_are_well_formed() {
-        let (x, f) = super::zig_tables();
-        assert_eq!(x[1], super::ZIG_R);
-        assert_eq!(x[super::ZIG_N], 0.0);
-        assert_eq!(f[super::ZIG_N], 1.0);
-        // Edges descend, densities ascend, and the recursion closes
-        // near zero (r and V are a matched pair).
-        for i in 1..super::ZIG_N {
-            assert!(x[i] > x[i + 1], "x[{i}]={} !> x[{}]", x[i], i + 1);
-            assert!(f[i] < f[i + 1]);
-        }
-        // Closure: the top strip [0, x_255] × (f(x_255), 1] must have
-        // area V like every other strip — that is what pins r and V.
-        let top = x[super::ZIG_N - 1] * (1.0 - f[super::ZIG_N - 1]);
-        assert!(
-            (top - super::ZIG_V).abs() < 1e-5,
-            "top strip area {top} vs V {}",
-            super::ZIG_V
-        );
-        assert!(x[0] > x[1], "base strip must extend past R");
-    }
-
-    #[test]
-    fn ziggurat_moments_match_exponential() {
-        let mut r = SimRng::seed_from_u64(17);
-        r.set_sampling(Sampling::Ziggurat);
-        let n = 400_000;
-        let rate = 0.25;
-        let (mut sum, mut sum2, mut min) = (0.0f64, 0.0f64, f64::MAX);
-        for _ in 0..n {
-            let x = r.exponential(rate);
-            assert!(x > 0.0 && x.is_finite());
-            sum += x;
-            sum2 += x * x;
-            min = min.min(x);
-        }
-        let mean = sum / f64::from(n);
-        let var = sum2 / f64::from(n) - mean * mean;
-        // Exp(rate): mean 1/rate = 4, variance 1/rate^2 = 16.
-        assert!((mean - 4.0).abs() < 0.03, "mean {mean}");
-        assert!((var - 16.0).abs() < 0.35, "variance {var}");
-        assert!(min < 1e-3, "left tail unexplored, min {min}");
-    }
-
-    #[test]
-    fn ziggurat_reaches_the_tail() {
-        let mut r = SimRng::seed_from_u64(23);
-        r.set_sampling(Sampling::Ziggurat);
-        // P(X > R) = exp(-R) ≈ 4.5e-4; 100k draws ⇒ ~45 tail hits.
-        let tail = (0..100_000)
-            .filter(|_| r.exponential(1.0) > super::ZIG_R)
-            .count();
-        assert!((10..200).contains(&tail), "tail draws {tail}");
     }
 
     #[test]

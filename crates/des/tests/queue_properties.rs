@@ -1,8 +1,9 @@
 //! Property-based tests of the cancellable event queue: for arbitrary
-//! interleavings of schedules and cancellations, pops must come out in
-//! (time, insertion) order and exactly the non-cancelled events appear.
+//! interleavings of schedules, cancellations and reschedules, pops must
+//! come out in (time, insertion) order and exactly the non-cancelled
+//! events appear.
 
-use ckpt_des::{EventQueue, QueueKind, SimTime};
+use ckpt_des::{EventQueue, SimTime};
 use proptest::prelude::*;
 
 /// An abstract queue operation.
@@ -12,6 +13,8 @@ enum Op {
     Schedule(f64),
     /// Cancel the k-th previously scheduled event (if any).
     Cancel(usize),
+    /// Reschedule the k-th previously scheduled event to `now + dt`.
+    Reschedule(usize, f64),
     /// Pop one event.
     Pop,
 }
@@ -20,31 +23,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (0.0f64..100.0).prop_map(Op::Schedule),
         1 => (0usize..64).prop_map(Op::Cancel),
+        1 => ((0usize..64), (0.0f64..100.0)).prop_map(|(k, dt)| Op::Reschedule(k, dt)),
         2 => Just(Op::Pop),
-    ]
-}
-
-/// An abstract operation for the heap-vs-calendar differential test,
-/// including the reschedule path and deliberate time ties.
-#[derive(Debug, Clone)]
-enum XOp {
-    /// Schedule at `now + dt`; `dt` is drawn from a coarse grid so
-    /// equal times (FIFO ties) occur constantly.
-    Schedule(u32),
-    /// Cancel the k-th previously scheduled event (if any).
-    Cancel(usize),
-    /// Reschedule the k-th previously scheduled event to `now + dt`.
-    Reschedule(usize, u32),
-    /// Pop one event.
-    Pop,
-}
-
-fn xop_strategy() -> impl Strategy<Value = XOp> {
-    prop_oneof![
-        3 => (0u32..40).prop_map(XOp::Schedule),
-        1 => (0usize..64).prop_map(XOp::Cancel),
-        2 => ((0usize..64), (0u32..40)).prop_map(|(k, dt)| XOp::Reschedule(k, dt)),
-        2 => Just(XOp::Pop),
     ]
 }
 
@@ -77,6 +57,20 @@ proptest! {
                         // is still alive.
                         prop_assert_eq!(did, model[k].3, "cancel result mismatch");
                         model[k].3 = false;
+                    }
+                }
+                Op::Reschedule(k, dt) => {
+                    if !ids.is_empty() {
+                        let k = k % ids.len();
+                        let t = now + dt;
+                        let did = q.reschedule(ids[k], SimTime::from_secs(t));
+                        prop_assert_eq!(did, model[k].3, "reschedule result mismatch");
+                        // A moved event takes a fresh FIFO sequence.
+                        if did {
+                            model[k].0 = t;
+                            model[k].1 = seq;
+                            seq += 1;
+                        }
                     }
                 }
                 Op::Pop => {
@@ -112,99 +106,20 @@ proptest! {
         }
     }
 
-    /// Draining any schedule-only workload yields a sorted sequence —
-    /// on both backends.
+    /// Draining any schedule-only workload yields a sorted sequence.
     #[test]
     fn drain_is_sorted(times in proptest::collection::vec(0.0f64..1e6, 1..300)) {
-        for kind in [QueueKind::IndexedHeap, QueueKind::Calendar] {
-            let mut q = EventQueue::with_kind(kind);
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_secs(t), i);
-            }
-            let mut last = SimTime::ZERO;
-            let mut count = 0;
-            while let Some(ev) = q.pop() {
-                prop_assert!(ev.time() >= last);
-                last = ev.time();
-                count += 1;
-            }
-            prop_assert_eq!(count, times.len());
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_secs(t), i);
         }
-    }
-
-    /// The calendar queue is observationally identical to the indexed
-    /// heap: the same schedule/cancel/reschedule/pop script pops the
-    /// same (time, payload) sequence with the same cancel/reschedule
-    /// outcomes — including FIFO order among the equal times the
-    /// coarse-grid deltas produce. This is the contract that makes
-    /// `--queue calendar` bit-identical at the simulation level.
-    #[test]
-    fn calendar_matches_heap_on_random_schedules(
-        ops in proptest::collection::vec(xop_strategy(), 1..300),
-    ) {
-        let mut heap = EventQueue::with_kind(QueueKind::IndexedHeap);
-        let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-        let mut heap_ids = Vec::new();
-        let mut cal_ids = Vec::new();
-        let mut now = SimTime::ZERO;
-
-        for op in ops {
-            match op {
-                XOp::Schedule(dt) => {
-                    let t = now + SimTime::from_secs(f64::from(dt));
-                    let payload = heap_ids.len() as u32;
-                    heap_ids.push(heap.schedule(t, payload));
-                    cal_ids.push(cal.schedule(t, payload));
-                }
-                XOp::Cancel(k) => {
-                    if !heap_ids.is_empty() {
-                        let k = k % heap_ids.len();
-                        prop_assert_eq!(heap.cancel(heap_ids[k]), cal.cancel(cal_ids[k]));
-                    }
-                }
-                XOp::Reschedule(k, dt) => {
-                    if !heap_ids.is_empty() {
-                        let k = k % heap_ids.len();
-                        let t = now + SimTime::from_secs(f64::from(dt));
-                        prop_assert_eq!(
-                            heap.reschedule(heap_ids[k], t),
-                            cal.reschedule(cal_ids[k], t)
-                        );
-                    }
-                }
-                XOp::Pop => {
-                    match (heap.pop(), cal.pop()) {
-                        (None, None) => {}
-                        (Some(h), Some(c)) => {
-                            prop_assert_eq!(h.time(), c.time());
-                            prop_assert_eq!(h.payload(), c.payload());
-                            now = h.time();
-                        }
-                        (h, c) => {
-                            return Err(TestCaseError::fail(format!(
-                                "heap {h:?} vs calendar {c:?}"
-                            )))
-                        }
-                    }
-                    prop_assert_eq!(heap.watermark(), cal.watermark());
-                }
-            }
-            prop_assert_eq!(heap.len(), cal.len());
+        let mut last = SimTime::ZERO;
+        let mut count = 0;
+        while let Some(ev) = q.pop() {
+            prop_assert!(ev.time() >= last);
+            last = ev.time();
+            count += 1;
         }
-        // Drain both: the tails must agree event for event.
-        loop {
-            match (heap.pop(), cal.pop()) {
-                (None, None) => break,
-                (Some(h), Some(c)) => {
-                    prop_assert_eq!(h.time(), c.time());
-                    prop_assert_eq!(h.payload(), c.payload());
-                }
-                (h, c) => {
-                    return Err(TestCaseError::fail(format!(
-                        "drain: heap {h:?} vs calendar {c:?}"
-                    )))
-                }
-            }
-        }
+        prop_assert_eq!(count, times.len());
     }
 }

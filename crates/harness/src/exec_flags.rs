@@ -11,20 +11,20 @@
 //! * `--quiet` — suppress human heartbeats (an explicit `--progress`
 //!   file stays active: requested machine output is output, not
 //!   chatter);
-//! * `--reactivation MODE` / `--queue KIND` — engine execution modes
-//!   (lazy timer reactivation, calendar event queue) that travel with
-//!   the experiment spec and perturb its fingerprint when non-default.
+//! * `--reactivation MODE` — the engine execution mode (lazy timer
+//!   reactivation) that travels with the experiment spec and perturbs
+//!   its fingerprint when non-default.
 //!
 //! [`ExecFlags`] owns the parsing ([`ExecFlags::accept`]), the journal
 //! open/resume policy ([`ExecFlags::open_journal`]), and the sink
 //! construction with its `--quiet` contract
 //! ([`ExecFlags::progress_sink`]). Commands embed it instead of
-//! re-plumbing the five flags independently.
+//! re-plumbing the flags independently.
 
 use crate::error::CkptError;
 use crate::journal::SweepJournal;
 use crate::snapshot::SnapshotError;
-use ckpt_core::{QueueKind, ReactivationMode};
+use ckpt_core::ReactivationMode;
 use ckpt_obs::MultiSink;
 use std::path::Path;
 
@@ -45,8 +45,6 @@ pub struct ExecFlags {
     pub quiet: bool,
     /// Timer-reactivation execution mode (SAN engine only).
     pub reactivation: ReactivationMode,
-    /// Event-queue backend; both pop identical (time, FIFO) order.
-    pub queue: QueueKind,
 }
 
 impl Default for ExecFlags {
@@ -58,7 +56,6 @@ impl Default for ExecFlags {
             progress: None,
             quiet: false,
             reactivation: ReactivationMode::default(),
-            queue: QueueKind::default(),
         }
     }
 }
@@ -90,10 +87,6 @@ impl ExecFlags {
             "--reactivation" => {
                 self.reactivation = ReactivationMode::parse(&value_for("--reactivation")?)
                     .map_err(|e| format!("--reactivation: {e}"))?;
-            }
-            "--queue" => {
-                self.queue = QueueKind::parse(&value_for("--queue")?)
-                    .map_err(|e| format!("--queue: {e}"))?;
             }
             _ => return Ok(false),
         }
@@ -195,8 +188,6 @@ mod tests {
             "p.jsonl",
             "--reactivation",
             "lazy",
-            "--queue",
-            "calendar",
         ])
         .unwrap();
         assert!(f.quiet);
@@ -205,7 +196,6 @@ mod tests {
         assert_eq!(f.resume.as_deref(), Some("r.json"));
         assert_eq!(f.progress.as_deref(), Some("p.jsonl"));
         assert_eq!(f.reactivation, ReactivationMode::Lazy);
-        assert_eq!(f.queue, QueueKind::Calendar);
         assert!(f.journaling());
     }
 
@@ -218,8 +208,10 @@ mod tests {
         assert!(parse(&["--bogus"]).is_err());
         let err = parse(&["--reactivation", "eager"]).unwrap_err();
         assert!(err.contains("unknown reactivation mode"), "{err}");
-        let err = parse(&["--queue", "wheel"]).unwrap_err();
-        assert!(err.contains("unknown queue kind"), "{err}");
+        // The queue-backend switch is gone: `--queue` is not a shared
+        // flag, so the caller reports it as unknown.
+        let err = parse(&["--queue", "calendar"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--queue'");
     }
 
     #[test]

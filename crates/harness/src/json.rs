@@ -189,16 +189,24 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser is
+/// recursive descent, so unbounded nesting would let one request body
+/// of `[[[[…` exhaust a thread's stack and abort the whole process;
+/// every document the workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] locating the first malformed token.
+/// Returns a [`JsonError`] locating the first malformed token, or the
+/// first container nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -212,6 +220,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -252,8 +262,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -484,6 +505,30 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(e.message.contains("nesting"), "{e}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).unwrap_err().message.contains("nesting"));
+        // 200 000 unclosed brackets overflowed a spawned thread's stack
+        // (aborting the process) before the limit; now they fail fast
+        // with a typed error.
+        let deep = "[".repeat(200_000);
+        let e = std::thread::spawn(move || parse(&deep))
+            .join()
+            .expect("parser must not overflow its stack")
+            .unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
     }
 
     #[test]

@@ -19,9 +19,7 @@ use crate::json::{parse, JsonValue};
 use ckpt_core::config::{
     CoordinationMode, ErrorPropagation, GenericCorrelated, RecoveryTimeModel, SystemConfig,
 };
-use ckpt_core::{
-    ConfigError, EngineKind, Estimation, Experiment, PolicySpec, QueueKind, ReactivationMode,
-};
+use ckpt_core::{ConfigError, EngineKind, Estimation, Experiment, PolicySpec, ReactivationMode};
 use ckpt_des::SimTime;
 use std::fmt;
 
@@ -117,7 +115,6 @@ pub struct ExperimentSpec {
     level: f64,
     jobs: Option<usize>,
     reactivation: ReactivationMode,
-    queue: QueueKind,
 }
 
 /// Builder for [`ExperimentSpec`] — defaults mirror
@@ -145,7 +142,6 @@ impl ExperimentSpec {
                 level: 0.95,
                 jobs: None,
                 reactivation: ReactivationMode::default(),
-                queue: QueueKind::default(),
             },
         }
     }
@@ -214,13 +210,6 @@ impl ExperimentSpec {
         self.reactivation
     }
 
-    /// The event-queue backend. Both backends pop the same
-    /// (time, FIFO) order, so this never changes results — only speed.
-    #[must_use]
-    pub fn queue(&self) -> QueueKind {
-        self.queue
-    }
-
     /// Converts the spec into a runnable [`Experiment`]. Chain
     /// runtime-only options (observation, target precision) on the
     /// returned builder.
@@ -237,7 +226,7 @@ impl ExperimentSpec {
         if let Some(jobs) = self.jobs {
             exp = exp.jobs(jobs);
         }
-        exp.reactivation(self.reactivation).queue(self.queue)
+        exp.reactivation(self.reactivation)
     }
 
     /// Serializes the spec as one compact JSON object. Deterministic:
@@ -297,22 +286,16 @@ impl ExperimentSpec {
             ("seed".to_string(), JsonValue::from_u64(self.seed)),
             ("level".to_string(), JsonValue::from_f64(self.level)),
         ];
-        // Like the config's `policy` key, the execution-mode switches
-        // render as the keys' *absence* when left at their defaults, so
-        // every fingerprint and snapshot minted before the switches
-        // existed remains valid, while any non-default mode perturbs
-        // the fingerprint.
-        let engine_at = fields
-            .iter()
-            .position(|(k, _)| k == "engine")
-            .map_or(fields.len(), |i| i + 1);
-        if self.queue != QueueKind::default() {
-            fields.insert(
-                engine_at,
-                ("queue".to_string(), JsonValue::from_text(self.queue.name())),
-            );
-        }
+        // Like the config's `policy` key, the execution-mode switch
+        // renders as the key's *absence* when left at its default, so
+        // every fingerprint and snapshot minted before the switch
+        // existed remains valid, while a non-default mode perturbs the
+        // fingerprint.
         if self.reactivation != ReactivationMode::default() {
+            let engine_at = fields
+                .iter()
+                .position(|(k, _)| k == "engine")
+                .map_or(fields.len(), |i| i + 1);
             fields.insert(
                 engine_at,
                 (
@@ -379,18 +362,21 @@ impl ExperimentSpec {
                 .ok_or_else(|| SpecError::Parse("malformed reactivation".into()))
                 .and_then(|s| ReactivationMode::parse(s).map_err(SpecError::Parse))?,
         };
-        let queue = match doc.get("queue") {
-            None | Some(JsonValue::Null) => QueueKind::default(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| SpecError::Parse("malformed queue".into()))
-                .and_then(|s| QueueKind::parse(s).map_err(SpecError::Parse))?,
-        };
+        // Documents written while the calendar backend existed carried
+        // `"queue":"calendar"`. Refuse them loudly rather than silently
+        // re-running them under a different fingerprint.
+        if doc.get("queue").is_some() {
+            return Err(SpecError::Parse(
+                "the \"queue\" key is no longer supported: the calendar event-queue \
+                 backend was removed (every run uses the binary heap, which pops the \
+                 same (time, FIFO) order); delete the key"
+                    .into(),
+            ));
+        }
         let mut b = ExperimentSpec::builder(config)
             .engine(engine)
             .estimation(estimation)
             .reactivation(reactivation)
-            .queue(queue)
             .transient(SimTime::from_secs(req_f64(&doc, "transient_secs")?))
             .horizon(SimTime::from_secs(req_f64(&doc, "horizon_secs")?))
             .replications(
@@ -468,13 +454,6 @@ impl ExperimentSpecBuilder {
     #[must_use]
     pub fn reactivation(mut self, mode: ReactivationMode) -> ExperimentSpecBuilder {
         self.spec.reactivation = mode;
-        self
-    }
-
-    /// Selects the event-queue backend.
-    #[must_use]
-    pub fn queue(mut self, queue: QueueKind) -> ExperimentSpecBuilder {
-        self.spec.queue = queue;
         self
     }
 
@@ -1041,35 +1020,23 @@ mod tests {
         // Defaults render without the keys: pre-switch documents and
         // fingerprints stay valid.
         assert!(!base.to_json().contains("\"reactivation\""));
-        assert!(!base.to_json().contains("\"queue\""));
         assert_eq!(base.reactivation(), ReactivationMode::Resample);
-        assert_eq!(base.queue(), QueueKind::IndexedHeap);
 
         let lazy = ExperimentSpec::builder(SystemConfig::builder().build().unwrap())
             .engine(EngineKind::San)
             .reactivation(ReactivationMode::Lazy)
-            .queue(QueueKind::Calendar)
             .build()
             .unwrap();
         assert!(lazy.to_json().contains("\"reactivation\":\"lazy\""));
-        assert!(lazy.to_json().contains("\"queue\":\"calendar\""));
         let back = ExperimentSpec::from_json(&lazy.to_json()).unwrap();
         assert_eq!(lazy, back);
         assert_eq!(back.reactivation(), ReactivationMode::Lazy);
-        assert_eq!(back.queue(), QueueKind::Calendar);
 
         let san_default = ExperimentSpec::builder(SystemConfig::builder().build().unwrap())
             .engine(EngineKind::San)
             .build()
             .unwrap();
         assert_ne!(lazy.fingerprint(), san_default.fingerprint());
-        let calendar_only = ExperimentSpec::builder(SystemConfig::builder().build().unwrap())
-            .engine(EngineKind::San)
-            .queue(QueueKind::Calendar)
-            .build()
-            .unwrap();
-        assert_ne!(calendar_only.fingerprint(), san_default.fingerprint());
-        assert_ne!(calendar_only.fingerprint(), lazy.fingerprint());
     }
 
     #[test]
@@ -1081,14 +1048,10 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SpecError::LazyReactivationNeedsSan);
         assert!(err.to_string().contains("--engine san"));
-        // The SAN engine accepts it; the calendar queue is engine-blind.
-        assert!(ExperimentSpec::builder(cfg.clone())
+        // The SAN engine accepts it.
+        assert!(ExperimentSpec::builder(cfg)
             .engine(EngineKind::San)
             .reactivation(ReactivationMode::Lazy)
-            .build()
-            .is_ok());
-        assert!(ExperimentSpec::builder(cfg)
-            .queue(QueueKind::Calendar)
             .build()
             .is_ok());
     }
@@ -1098,7 +1061,6 @@ mod tests {
         let lazy = ExperimentSpec::builder(SystemConfig::builder().build().unwrap())
             .engine(EngineKind::San)
             .reactivation(ReactivationMode::Lazy)
-            .queue(QueueKind::Calendar)
             .build()
             .unwrap();
         let bad = lazy.to_json().replace("\"lazy\"", "\"eager\"");
@@ -1106,11 +1068,21 @@ mod tests {
             ExperimentSpec::from_json(&bad),
             Err(SpecError::Parse(msg)) if msg.contains("unknown reactivation mode")
         ));
-        let bad = lazy.to_json().replace("\"calendar\"", "\"wheel\"");
-        assert!(matches!(
-            ExperimentSpec::from_json(&bad),
-            Err(SpecError::Parse(msg)) if msg.contains("unknown queue kind")
-        ));
+        // The calendar queue backend is gone: a document from before
+        // its removal is refused by name, whatever the key's value,
+        // instead of silently running under another fingerprint.
+        for value in ["\"calendar\"", "\"heap\"", "null"] {
+            let old = lazy.to_json().replacen(
+                "\"reactivation\":\"lazy\"",
+                &format!("\"reactivation\":\"lazy\",\"queue\":{value}"),
+                1,
+            );
+            assert!(old.contains("\"queue\""));
+            assert!(matches!(
+                ExperimentSpec::from_json(&old),
+                Err(SpecError::Parse(msg)) if msg.contains("\"queue\"") && msg.contains("calendar")
+            ));
+        }
     }
 
     #[test]

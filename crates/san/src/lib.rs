@@ -74,8 +74,3 @@ pub use model::{ActivityBuilder, CaseBuilder, San, SanBuilder};
 pub use pred::Pred;
 pub use reward::{RewardReport, RewardSpec, RewardValue};
 pub use simulator::{ReactivationMode, SanObserver, Scheduling, Simulator};
-
-// The sampler and queue-backend choices travel with the simulator API:
-// `Simulator::with_exec_options` takes them, so callers should not need
-// a direct `ckpt-des` dependency.
-pub use ckpt_des::{QueueKind, Sampling};

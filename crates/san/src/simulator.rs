@@ -7,7 +7,7 @@ use crate::model::San;
 use crate::reward::{RewardReport, RewardSpec, RewardValue};
 use ckpt_des::prof::{HotPhase, PhaseProfile, PhaseProfiler};
 use ckpt_des::telem::{HotTelemetry, TelemetrySnapshot};
-use ckpt_des::{EventId, EventQueue, QueueKind, Sampling, SimRng, SimTime};
+use ckpt_des::{EventId, EventQueue, SimRng, SimTime};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -80,8 +80,8 @@ pub enum Scheduling {
 ///
 /// Lazy mode is **distribution-equivalent, not bit-identical**: skipped
 /// draws shift the RNG stream, so a lazy run is statistically a new
-/// stream over the same model (validated by the KS/moment and
-/// CI-overlap suites, like [`Sampling::Ziggurat`]). Timers with
+/// stream over the same model (validated by the residual KS/moment
+/// test and the CI-overlap suites). Timers with
 /// marking-dependent delays ([`crate::Delay::MarkingDependent`]) are
 /// never elided — a rate modulated by the marking must be observed at
 /// the marking change — and [`Reactivation::Keep`] timers are
@@ -247,89 +247,50 @@ pub struct Simulator<'m> {
 impl<'m> Simulator<'m> {
     /// Creates a simulator over `san` seeded with `seed`, settles any
     /// initially enabled instantaneous activities, and schedules the
-    /// initially enabled timed ones. Uses [`Scheduling::Incremental`];
-    /// see [`Simulator::with_scheduling`] to choose.
+    /// initially enabled timed ones. Uses the default modes
+    /// ([`Scheduling::Incremental`], [`ReactivationMode::Resample`]);
+    /// see [`Simulator::with_modes`] to choose.
     ///
     /// # Errors
     ///
     /// Returns [`SanError`] if the initial settling livelocks or a delay
     /// sampler misbehaves.
     pub fn new(san: &'m San, seed: u64) -> Result<Simulator<'m>, SanError> {
-        Simulator::with_scheduling(san, seed, Scheduling::default())
-    }
-
-    /// Creates a simulator with an explicit [`Scheduling`] strategy and
-    /// the default ([`Sampling::InverseCdf`]) sampler.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError`] if the initial settling livelocks or a delay
-    /// sampler misbehaves.
-    pub fn with_scheduling(
-        san: &'m San,
-        seed: u64,
-        scheduling: Scheduling,
-    ) -> Result<Simulator<'m>, SanError> {
-        Simulator::with_options(san, seed, scheduling, Sampling::default())
-    }
-
-    /// Creates a simulator with explicit [`Scheduling`] and [`Sampling`]
-    /// choices. The sampling mode is set before any initial delay draw,
-    /// so the whole run — including initialization — uses one sampler.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError`] if the initial settling livelocks or a delay
-    /// sampler misbehaves.
-    pub fn with_options(
-        san: &'m San,
-        seed: u64,
-        scheduling: Scheduling,
-        sampling: Sampling,
-    ) -> Result<Simulator<'m>, SanError> {
-        Simulator::with_exec_options(
+        Simulator::with_modes(
             san,
             seed,
-            scheduling,
-            sampling,
+            Scheduling::default(),
             ReactivationMode::default(),
-            QueueKind::default(),
         )
     }
 
-    /// Creates a simulator with every execution switch explicit:
-    /// [`Scheduling`], [`Sampling`], [`ReactivationMode`], and the
-    /// event-queue backend ([`QueueKind`]).
+    /// Creates a simulator with an explicit [`Scheduling`] strategy and
+    /// [`ReactivationMode`].
     ///
-    /// The defaults (`Incremental`, `InverseCdf`, `Resample`,
-    /// `IndexedHeap`) are the pinned bit-identical reference; `Lazy`
-    /// and the non-default sampler are distribution-equivalent opt-ins,
-    /// while `Calendar` is bit-identical (both backends pop the same
-    /// `(time, FIFO)` order).
+    /// The defaults (`Incremental`, `Resample`) are the pinned
+    /// bit-identical reference; `FullScan` is bit-identical to them and
+    /// kept as the equivalence oracle, while `Lazy` is a
+    /// distribution-equivalent opt-in.
     ///
     /// # Errors
     ///
     /// Returns [`SanError`] if the initial settling livelocks or a delay
     /// sampler misbehaves.
-    pub fn with_exec_options(
+    pub fn with_modes(
         san: &'m San,
         seed: u64,
         scheduling: Scheduling,
-        sampling: Sampling,
         reactivation: ReactivationMode,
-        queue: QueueKind,
     ) -> Result<Simulator<'m>, SanError> {
         let n = san.activities.len();
-        let mut rng = SimRng::seed_from_u64(seed);
-        rng.set_sampling(sampling);
         let mut sim = Simulator {
             san,
             marking: san.initial_marking(),
             now: SimTime::ZERO,
-            queue: EventQueue::with_kind(queue),
+            queue: EventQueue::new(),
             scheduled: vec![None; n],
             sampled_version: vec![0; n],
-            rng,
+            rng: SimRng::seed_from_u64(seed),
             rewards: Vec::new(),
             totals: Vec::new(),
             rate_mode: Vec::new(),
@@ -365,22 +326,10 @@ impl<'m> Simulator<'m> {
         self.scheduling
     }
 
-    /// The sampling strategy this simulator's RNG runs with.
-    #[must_use]
-    pub fn sampling(&self) -> Sampling {
-        self.rng.sampling()
-    }
-
     /// The reactivation mode this simulator runs with.
     #[must_use]
     pub fn reactivation(&self) -> ReactivationMode {
         self.reactivation
-    }
-
-    /// The event-queue backend this simulator runs on.
-    #[must_use]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// The hot-phase profile accumulated so far. All-zero unless the
@@ -600,14 +549,6 @@ impl<'m> Simulator<'m> {
     fn step_event(&mut self, t: SimTime, activity: ActivityId) -> Result<(), SanError> {
         let dispatch = self.prof.begin();
         self.telem.record_queue_depth(self.queue.len());
-        // `ENABLED` is a compile-time constant, so the occupancy scan
-        // (calendar backend only) vanishes entirely from non-telemetry
-        // builds.
-        if ckpt_des::telem::ENABLED {
-            if let Some(occ) = self.queue.band_occupancy() {
-                self.telem.record_band_occupancy(occ);
-            }
-        }
         self.integrate_to(t);
         self.now = t;
         self.scheduled[activity.0] = None;
@@ -1589,7 +1530,8 @@ mod tests {
         let san = repair_model();
         let up = san.place_by_name("up").unwrap();
         let run = |declare: bool, scheduling: Scheduling| {
-            let mut sim = Simulator::with_scheduling(&san, 6, scheduling).unwrap();
+            let mut sim =
+                Simulator::with_modes(&san, 6, scheduling, ReactivationMode::default()).unwrap();
             let spec = RewardSpec::rate("avail", move |m| if m.has_token(up) { 1.0 } else { 0.0 });
             let spec = if declare { spec.reads(&[up]) } else { spec };
             sim.add_reward(spec).unwrap();
@@ -1601,29 +1543,6 @@ mod tests {
             assert_eq!(run(true, scheduling).to_bits(), reference.to_bits());
             assert_eq!(run(false, scheduling).to_bits(), reference.to_bits());
         }
-    }
-
-    #[test]
-    fn ziggurat_sampling_reproduces_availability() {
-        // Ziggurat is distribution-equivalent, not bit-identical: the
-        // repair model's long-run availability must still come out at
-        // ~0.9 within Monte-Carlo noise.
-        let san = repair_model();
-        let up = san.place_by_name("up").unwrap();
-        let mut sim =
-            Simulator::with_options(&san, 1, Scheduling::Incremental, Sampling::Ziggurat).unwrap();
-        assert_eq!(sim.sampling(), Sampling::Ziggurat);
-        sim.add_reward(RewardSpec::rate("avail", move |m| {
-            if m.has_token(up) {
-                1.0
-            } else {
-                0.0
-            }
-        }))
-        .unwrap();
-        sim.run_for(SimTime::from_secs(200_000.0)).unwrap();
-        let a = sim.reward_report().value("avail").unwrap().time_average();
-        assert!((a - 0.9).abs() < 0.01, "availability {a}");
     }
 
     /// Repair model with the failure timer marked `Resample` (plain
@@ -1670,15 +1589,9 @@ mod tests {
         // long-run availability must still come out at ~0.9.
         let san = resample_repair_model();
         let up = san.place_by_name("up").unwrap();
-        let mut sim = Simulator::with_exec_options(
-            &san,
-            1,
-            Scheduling::Incremental,
-            Sampling::InverseCdf,
-            ReactivationMode::Lazy,
-            QueueKind::IndexedHeap,
-        )
-        .unwrap();
+        let mut sim =
+            Simulator::with_modes(&san, 1, Scheduling::Incremental, ReactivationMode::Lazy)
+                .unwrap();
         assert_eq!(sim.reactivation(), ReactivationMode::Lazy);
         sim.add_reward(RewardSpec::rate("avail", move |m| {
             if m.has_token(up) {
@@ -1700,15 +1613,8 @@ mod tests {
         // mode exactly as they are under eager resampling.
         let san = resample_repair_model();
         let run = |scheduling| {
-            let mut sim = Simulator::with_exec_options(
-                &san,
-                9,
-                scheduling,
-                Sampling::InverseCdf,
-                ReactivationMode::Lazy,
-                QueueKind::IndexedHeap,
-            )
-            .unwrap();
+            let mut sim =
+                Simulator::with_modes(&san, 9, scheduling, ReactivationMode::Lazy).unwrap();
             sim.run_for(SimTime::from_secs(50_000.0)).unwrap();
             (
                 sim.firing_count(san.activity_by_name("fail").unwrap()),
@@ -1747,15 +1653,9 @@ mod tests {
             .output_arc(failures, 1)
             .build();
         let san = b.build().unwrap();
-        let mut sim = Simulator::with_exec_options(
-            &san,
-            7,
-            Scheduling::Incremental,
-            Sampling::InverseCdf,
-            ReactivationMode::Lazy,
-            QueueKind::IndexedHeap,
-        )
-        .unwrap();
+        let mut sim =
+            Simulator::with_modes(&san, 7, Scheduling::Incremental, ReactivationMode::Lazy)
+                .unwrap();
         sim.run_until(SimTime::from_secs(5.0)).unwrap();
         let before = sim.firing_count(fail);
         sim.run_until(SimTime::from_secs(6.0)).unwrap();
@@ -1769,39 +1669,20 @@ mod tests {
     }
 
     #[test]
-    fn calendar_queue_is_bit_identical_to_heap() {
-        // Both backends pop the same (time, FIFO) order, so switching
-        // the backend changes nothing observable — on the eager path
-        // and on the lazy path alike.
+    fn lazy_stream_differs_from_resample() {
+        // Elided redraws shift the RNG stream: a lazy run is a different
+        // trajectory over the same model, not a replay.
         let san = resample_repair_model();
-        let run = |reactivation, queue| {
-            let mut sim = Simulator::with_exec_options(
-                &san,
-                13,
-                Scheduling::Incremental,
-                Sampling::InverseCdf,
-                reactivation,
-                queue,
-            )
-            .unwrap();
+        let run = |reactivation| {
+            let mut sim =
+                Simulator::with_modes(&san, 13, Scheduling::Incremental, reactivation).unwrap();
             sim.run_for(SimTime::from_secs(50_000.0)).unwrap();
             (
                 sim.firing_count(san.activity_by_name("fail").unwrap()),
                 sim.firing_count(san.activity_by_name("repair").unwrap()),
             )
         };
-        for mode in [ReactivationMode::Resample, ReactivationMode::Lazy] {
-            assert_eq!(
-                run(mode, QueueKind::IndexedHeap),
-                run(mode, QueueKind::Calendar),
-                "queue backends diverged under {mode}"
-            );
-        }
-        // And the lazy stream really is a different stream.
-        assert_ne!(
-            run(ReactivationMode::Resample, QueueKind::IndexedHeap),
-            run(ReactivationMode::Lazy, QueueKind::IndexedHeap)
-        );
+        assert_ne!(run(ReactivationMode::Resample), run(ReactivationMode::Lazy));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 
 use ckpt_des::SimTime;
 use ckpt_san::{
-    Delay, InputGate, Reactivation, RewardSpec, San, SanBuilder, SanError, SanObserver, Scheduling,
-    Simulator,
+    Delay, InputGate, Reactivation, ReactivationMode, RewardSpec, San, SanBuilder, SanError,
+    SanObserver, Scheduling, Simulator,
 };
 use ckpt_stats::Dist;
 use proptest::prelude::*;
@@ -46,7 +46,8 @@ fn run(
     scheduling: Scheduling,
 ) -> (Recorder, ckpt_san::Marking, u64, Vec<(u64, u64)>) {
     let mut rec = Recorder::default();
-    let mut sim = Simulator::with_scheduling(san, seed, scheduling).expect("init");
+    let mut sim =
+        Simulator::with_modes(san, seed, scheduling, ReactivationMode::default()).expect("init");
     sim.add_reward(RewardSpec::rate("window", |_| 1.0)).unwrap();
     if let Some(a0) = san.activity_by_name("a0") {
         sim.add_reward(RewardSpec::impulse_only("fires").with_impulse(a0, |_| 1.0))
@@ -201,7 +202,8 @@ fn livelock_errors_match_across_schedulers() {
         .build();
     let san = b.build().unwrap();
     for scheduling in [Scheduling::Incremental, Scheduling::FullScan] {
-        let mut sim = Simulator::with_scheduling(&san, 0, scheduling).unwrap();
+        let mut sim =
+            Simulator::with_modes(&san, 0, scheduling, ReactivationMode::default()).unwrap();
         let err = sim.run_for(SimTime::from_secs(10.0)).unwrap_err();
         assert!(
             matches!(err, SanError::InstantaneousLivelock { .. }),
@@ -225,7 +227,8 @@ fn refiring_with_no_dependent_dirty_places_is_rescheduled() {
         .build();
     let san = b.build().unwrap();
     for scheduling in [Scheduling::Incremental, Scheduling::FullScan] {
-        let mut sim = Simulator::with_scheduling(&san, 0, scheduling).unwrap();
+        let mut sim =
+            Simulator::with_modes(&san, 0, scheduling, ReactivationMode::default()).unwrap();
         sim.run_until(SimTime::from_secs(10.0)).unwrap();
         assert_eq!(
             sim.marking().fluid(acc),

@@ -2,13 +2,10 @@
 //!
 //! `SimRng` is the single RNG behind both simulation engines; its
 //! `exponential` draw sits on the hottest path (every `Resample` timer
-//! resamples on every marking change). This suite pins the contract
-//! both samplers must honor:
-//!
-//! * `Sampling::InverseCdf` (default) — the bit-identity oracle, the
-//!   exact stream every pre-existing result was produced with;
-//! * `Sampling::Ziggurat` — the fast path, distribution-equivalent but
-//!   deliberately *not* stream-identical.
+//! resamples on every marking change). This suite pins the
+//! distributional contract of its inverse-CDF draw — the exact stream
+//! every result was produced with (the stream itself is pinned in
+//! `ckpt-des`).
 //!
 //! It also pins the memorylessness identity that lazy reactivation
 //! (`ReactivationMode::Lazy`) relies on to skip those resamples
@@ -21,15 +18,14 @@
 //! not flaky statistical ones: the tolerances were chosen with head
 //! room above the realized error at these exact seeds.
 
-use ckpt_des::{Sampling, SimRng};
+use ckpt_des::SimRng;
 use ckpt_stats::gof::ks_test;
 
 const N: usize = 20_000;
 const ALPHA: f64 = 0.005;
 
-fn draw<F: FnMut(&mut SimRng) -> f64>(seed: u64, sampling: Sampling, mut f: F) -> Vec<f64> {
+fn draw<F: FnMut(&mut SimRng) -> f64>(seed: u64, mut f: F) -> Vec<f64> {
     let mut rng = SimRng::seed_from_u64(seed);
-    rng.set_sampling(sampling);
     (0..N).map(|_| f(&mut rng)).collect()
 }
 
@@ -43,45 +39,28 @@ fn variance(xs: &[f64]) -> f64 {
 }
 
 /// Exponential(rate): KS against `1 − e^{−λx}`, mean within ~5 standard
-/// errors of `1/λ`, variance within 10 % of `1/λ²`. Run for both
-/// samplers — the ziggurat must satisfy the *same* contract as the
-/// inverse-CDF oracle.
+/// errors of `1/λ`, variance within 10 % of `1/λ²`.
 #[test]
-fn exponential_matches_distribution_under_both_samplers() {
-    for (sampling, seed) in [(Sampling::InverseCdf, 11), (Sampling::Ziggurat, 12)] {
-        for rate in [0.5, 1.0, 4.0] {
-            let xs = draw(seed, sampling, |r| r.exponential(rate));
-            assert!(xs.iter().all(|&x| x > 0.0), "{sampling:?} rate={rate}");
-            let ks = ks_test(&xs, |x| 1.0 - (-rate * x).exp());
-            assert!(ks.accepts(ALPHA), "{sampling:?} rate={rate}: {ks}");
-            let se = 1.0 / (rate * (N as f64).sqrt());
-            assert!(
-                (mean(&xs) - 1.0 / rate).abs() < 5.0 * se,
-                "{sampling:?} rate={rate}: mean {} vs {}",
-                mean(&xs),
-                1.0 / rate
-            );
-            let var_target = 1.0 / (rate * rate);
-            assert!(
-                (variance(&xs) - var_target).abs() < 0.1 * var_target,
-                "{sampling:?} rate={rate}: var {} vs {var_target}",
-                variance(&xs)
-            );
-        }
+fn exponential_matches_distribution() {
+    for rate in [0.5, 1.0, 4.0] {
+        let xs = draw(11, |r| r.exponential(rate));
+        assert!(xs.iter().all(|&x| x > 0.0), "rate={rate}");
+        let ks = ks_test(&xs, |x| 1.0 - (-rate * x).exp());
+        assert!(ks.accepts(ALPHA), "rate={rate}: {ks}");
+        let se = 1.0 / (rate * (N as f64).sqrt());
+        assert!(
+            (mean(&xs) - 1.0 / rate).abs() < 5.0 * se,
+            "rate={rate}: mean {} vs {}",
+            mean(&xs),
+            1.0 / rate
+        );
+        let var_target = 1.0 / (rate * rate);
+        assert!(
+            (variance(&xs) - var_target).abs() < 0.1 * var_target,
+            "rate={rate}: var {} vs {var_target}",
+            variance(&xs)
+        );
     }
-}
-
-/// The two samplers agree on summary statistics (they sample the same
-/// distribution) while producing different streams (the ziggurat is
-/// not, and must not silently become, the inverse CDF in disguise).
-#[test]
-fn samplers_are_equivalent_in_distribution_but_not_in_stream() {
-    let seed = 21;
-    let inv = draw(seed, Sampling::InverseCdf, |r| r.exponential(1.0));
-    let zig = draw(seed, Sampling::Ziggurat, |r| r.exponential(1.0));
-    assert!((mean(&inv) - mean(&zig)).abs() < 0.03);
-    assert!((variance(&inv) - variance(&zig)).abs() < 0.1);
-    assert_ne!(inv, zig, "ziggurat produced the inverse-CDF stream");
 }
 
 /// The memorylessness contract behind `ReactivationMode::Lazy`: a
@@ -142,7 +121,7 @@ fn erf(x: f64) -> f64 {
 /// within 5 %, symmetry via the third moment.
 #[test]
 fn standard_normal_matches_distribution() {
-    let xs = draw(31, Sampling::InverseCdf, SimRng::standard_normal);
+    let xs = draw(31, SimRng::standard_normal);
     let phi = |x: f64| 0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2));
     let ks = ks_test(&xs, phi);
     assert!(ks.accepts(ALPHA), "{ks}");
@@ -161,23 +140,10 @@ fn standard_normal_matches_distribution() {
 /// strict bounds, mean 1/2 and variance 1/12 within band.
 #[test]
 fn open_unit_is_uniform_on_the_open_interval() {
-    let xs = draw(41, Sampling::InverseCdf, SimRng::open_unit);
+    let xs = draw(41, SimRng::open_unit);
     assert!(xs.iter().all(|&x| x > 0.0 && x < 1.0));
     let ks = ks_test(&xs, |x| x.clamp(0.0, 1.0));
     assert!(ks.accepts(ALPHA), "{ks}");
     assert!((mean(&xs) - 0.5).abs() < 5.0 * (1.0 / 12f64).sqrt() / (N as f64).sqrt());
     assert!((variance(&xs) - 1.0 / 12.0).abs() < 0.05 / 12.0);
-}
-
-/// The sampling mode only affects `exponential`: `open_unit` and
-/// `standard_normal` draw the identical stream either way, so switching
-/// to the ziggurat perturbs nothing else.
-#[test]
-fn sampling_mode_leaves_other_draws_untouched() {
-    let a = draw(51, Sampling::InverseCdf, SimRng::open_unit);
-    let b = draw(51, Sampling::Ziggurat, SimRng::open_unit);
-    assert_eq!(a, b);
-    let a = draw(52, Sampling::InverseCdf, SimRng::standard_normal);
-    let b = draw(52, Sampling::Ziggurat, SimRng::standard_normal);
-    assert_eq!(a, b);
 }

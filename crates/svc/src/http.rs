@@ -20,14 +20,20 @@ use crate::sched::{JobStatus, Scheduler};
 use ckpt_harness::json::JsonValue;
 use ckpt_harness::{CkptError, ExperimentSpec};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Largest request body the server will read (a spec is ~1 KiB).
+/// Largest request body the server will read (a spec is ~1 KiB);
+/// a request declaring more is answered `413 Payload Too Large`.
 const MAX_BODY: usize = 1 << 20;
 /// Poll cadence of the chunked progress stream.
 const PROGRESS_POLL: Duration = Duration::from_millis(25);
+/// After a 413, at most this much of the refused body is read and
+/// discarded, waiting at most [`DRAIN_IDLE`] for each read.
+const DRAIN_LIMIT: u64 = 8 * MAX_BODY as u64;
+/// Idle limit of one read while discarding a refused body.
+const DRAIN_IDLE: Duration = Duration::from_secs(1);
 
 /// The `ckptsim serve` listener: owns the scheduler and serves it over
 /// plain TCP.
@@ -88,6 +94,9 @@ struct Request {
     method: String,
     path: String,
     tenant: String,
+    /// The declared `Content-Length`; the body is read only when it is
+    /// at most [`MAX_BODY`].
+    content_length: usize,
     body: String,
 }
 
@@ -120,12 +129,16 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
             }
         }
     }
-    let mut body = vec![0u8; content_length.min(MAX_BODY)];
-    reader.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    if content_length <= MAX_BODY {
+        body.resize(content_length, 0);
+        reader.read_exact(&mut body)?;
+    }
     Ok(Some(Request {
         method,
         path,
         tenant,
+        content_length,
         body: String::from_utf8_lossy(&body).into_owned(),
     }))
 }
@@ -196,6 +209,24 @@ fn handle_connection(mut stream: TcpStream, sched: &Scheduler) -> std::io::Resul
     let Some(req) = read_request(&mut stream)? else {
         return Ok(());
     };
+    if req.content_length > MAX_BODY {
+        respond(
+            &mut stream,
+            413,
+            "Payload Too Large",
+            &error_body(&format!(
+                "request body of {} bytes exceeds the {MAX_BODY}-byte limit",
+                req.content_length
+            )),
+        )?;
+        // Closing a socket with unread input resets the connection,
+        // which can destroy the 413 before the client reads it: finish
+        // the response, then discard a bounded amount of the body.
+        stream.shutdown(Shutdown::Write)?;
+        stream.set_read_timeout(Some(DRAIN_IDLE))?;
+        let _ = std::io::copy(&mut (&stream).take(DRAIN_LIMIT), &mut std::io::sink());
+        return Ok(());
+    }
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/v1/healthz") => respond(
             &mut stream,

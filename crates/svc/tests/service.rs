@@ -7,7 +7,8 @@ use ckpt_core::SystemConfig;
 use ckpt_des::SimTime;
 use ckpt_harness::ExperimentSpec;
 use ckpt_svc::{Client, JobStore, Scheduler, Server, Tuning};
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -133,8 +134,72 @@ fn unknown_jobs_and_malformed_specs_are_rejected() {
     let (addr, _) = start_server(&dir, Tuning::default());
     let client = Client::new(&addr.to_string(), "t");
     assert!(client.submit("{\"not\": \"a spec\"}").is_err());
+    // A spec written while the calendar queue backend existed is
+    // refused by name, not silently re-run under another fingerprint.
+    let old = spec(1, 1).to_json().replacen(
+        "\"engine\":\"direct\"",
+        "\"engine\":\"direct\",\"queue\":\"calendar\"",
+        1,
+    );
+    assert!(old.contains("\"queue\""));
+    let err = client.submit(&old).unwrap_err().to_string();
+    assert!(err.contains("(400)") && err.contains("calendar"), "{err}");
     assert!(client.status("00000000deadbeef").is_err());
     assert_eq!(client.result("00000000deadbeef").unwrap(), None);
     assert!(client.progress("00000000deadbeef").is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends raw request bytes and returns the whole response.
+fn raw_request(addr: SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(request).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response
+}
+
+#[test]
+fn hostile_bodies_get_an_error_status_and_the_server_stays_up() {
+    let dir = store_dir("hostile");
+    let (addr, sched) = start_server(&dir, Tuning::default());
+    let client = Client::new(&addr.to_string(), "t");
+
+    // 200 000 nested '[' used to overflow the connection thread's
+    // stack in the recursive JSON parser, aborting the whole server.
+    let deep = "[".repeat(200_000);
+    let response = raw_request(
+        addr,
+        format!(
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{deep}",
+            deep.len()
+        )
+        .as_bytes(),
+    );
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains("nesting"), "{response}");
+    client.healthz().unwrap();
+
+    // A body over the limit is refused outright instead of being
+    // truncated and parsed as a prefix, whether or not the client
+    // sends it.
+    let response = raw_request(
+        addr,
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n",
+    );
+    assert!(response.starts_with("HTTP/1.1 413 "), "{response}");
+    assert!(response.contains("exceeds"), "{response}");
+    let body = "x".repeat(2 << 20);
+    let response = raw_request(
+        addr,
+        format!(
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .as_bytes(),
+    );
+    assert!(response.starts_with("HTTP/1.1 413 "), "{response}");
+    client.healthz().unwrap();
+    assert_eq!(sched.executed_units(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

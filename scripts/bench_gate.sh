@@ -6,13 +6,10 @@
 #     MAX_REGRESSION_PCT against the committed reference in
 #     BENCH_hotloop.json (the "gate_reference_quick" leg, produced by
 #     `cargo run --release -p ckpt-bench --bin bench_hotloop`).
-#  1b. Execution-mode matrix — repeats the same measurement for each
-#     committed "gate_modes" entry (reactivation × queue combinations:
-#     resample+calendar, lazy+heap, lazy+calendar), gating every mode
-#     at the same budget. bench_engines asserts scheduler bit-identity
-#     in each mode as it runs, so this layer also re-checks that the
-#     calendar queue reproduces the heap's event order on the oracle
-#     path on every PR.
+#  1b. Execution modes — repeats the same measurement for each
+#     committed "gate_modes" entry (non-default reactivation modes:
+#     lazy), gating every mode at the same budget. bench_engines
+#     asserts scheduler bit-identity in each mode as it runs.
 #  2. Per-phase attribution — re-measures the hot-phase breakdown with a
 #     `--features prof` build and fails when any attributed phase's
 #     ns/event regressed more than MAX_REGRESSION_PCT against the
@@ -121,22 +118,22 @@ fi
 
 # --- Layer 1b: execution-mode matrix ----------------------------------
 
-# Committed per-mode references: "leg reactivation queue events_per_sec"
+# Committed per-mode references: "leg reactivation events_per_sec"
 # rows. Empty output (pre-matrix reference file) skips the layer.
 ref_mode_rows="$(python3 - "$ref_file" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 for g in doc.get("gate_modes", []):
-    print(g["leg"], g["reactivation"], g["queue"], int(g["events_per_sec"]))
+    print(g["leg"], g["reactivation"], int(g["events_per_sec"]))
 EOF
 )"
 
 if [ -n "$ref_mode_rows" ]; then
   mode_verdict=0
-  while read -r leg reactivation queue mode_ref_eps; do
+  while read -r leg reactivation mode_ref_eps; do
     [ -n "$leg" ] || continue
     (cd "$repo" && ./target/release/bench_engines --quick --warmup 1 \
-       --reactivation "$reactivation" --queue "$queue" "$@" >/dev/null)
+       --reactivation "$reactivation" "$@" >/dev/null)
     mode_cur_eps="$(python3 - "$repo/BENCH_engines.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -150,10 +147,10 @@ EOF
          printf "reference %d ev/s, measured %d ev/s, change %+.1f%%", ref, cur, -drop;
          exit (drop > max) ? 1 : 0;
        }')" && mode_pass=0 || mode_pass=1
-    echo "bench_gate: mode $reactivation+$queue: $mode_line"
+    echo "bench_gate: mode $reactivation: $mode_line"
     if [ "$mode_pass" -ne 0 ]; then
       mode_verdict=1
-      worst_mode="$reactivation+$queue"
+      worst_mode="$reactivation"
     fi
   done <<< "$ref_mode_rows"
   # The mode runs clobbered BENCH_engines.json with non-default modes;
